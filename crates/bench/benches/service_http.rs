@@ -1,12 +1,14 @@
 //! Benchmarks of the serving tier's per-request hot path (DESIGN.md §18):
 //! incremental HTTP/1.1 request parsing as the reactor sees it, response
-//! serialization, and the preserialized zero-copy cache-hit write.
+//! serialization, the preserialized zero-copy cache-hit write, and the
+//! response-cache key of a real analyze body.
 
 use std::sync::Arc;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 
 use sbomdiff_service::http::{parse_request, ParseStatus, Response};
+use sbomdiff_service::loadgen;
 use sbomdiff_service::respcache::{CacheEntry, ResponseCache};
 
 fn analyze_request(body: &str) -> Vec<u8> {
@@ -49,9 +51,16 @@ fn bench_response_paths(c: &mut Criterion) {
     group.bench_function("cache_hit_shared", |b| {
         b.iter(|| Arc::clone(black_box(&entry.wire)))
     });
+    // The key of a real /v1/analyze body (a corpus repository's manifests,
+    // as loadgen and the hot-cache benchmark send it), hashed on every hit.
+    let payloads = loadgen::build_payloads(42, 3);
+    let (path, body) = payloads
+        .iter()
+        .find(|(path, _)| path == "/v1/analyze")
+        .expect("loadgen builds an analyze payload");
+    group.throughput(Throughput::Bytes(body.len() as u64));
     group.bench_function("cache_key", |b| {
-        let body = br#"{"files":{"requirements.txt":"numpy==1.19.2\n"}}"#;
-        b.iter(|| ResponseCache::key(black_box("/v1/analyze"), black_box(body)))
+        b.iter(|| ResponseCache::key(black_box(path), black_box(body.as_bytes())).hash())
     });
     group.finish();
 }

@@ -9,14 +9,18 @@
 //! every other file kind is parsed exactly once no matter how many
 //! emulators scan it.
 //!
-//! The key hashes the file *content*, not the repository name. Two
-//! consequences:
+//! The key is the file *content*, not the repository name: entries are
+//! indexed by the workspace content hash ([`sbomdiff_types::content_hash`])
+//! and keep the bytes they parsed, and a lookup is a hit only when those
+//! bytes equal the file's. Two consequences:
 //!
 //! * A long-lived cache (the analysis service, corpus experiments) can be
 //!   shared across repositories and requests: re-analyzing an unchanged
-//!   manifest is a lookup, while a *mutated* file hashes to a different
-//!   key and is re-parsed — a stale parse can never be served, even when
-//!   two requests reuse one repository name.
+//!   manifest is a lookup, while a *mutated* file is re-parsed — a stale
+//!   parse can never be served, even when two requests reuse one
+//!   repository name, and even when request-supplied content is crafted
+//!   to collide with another file's hash (the collision costs a miss and
+//!   the new parse replaces the old entry).
 //! * Identical manifests in different repositories (common in synthetic
 //!   corpora and real monorepos) collapse into one parse.
 //!
@@ -37,6 +41,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 use sbomdiff_metadata::python::ReqStyle;
 use sbomdiff_metadata::{MetadataKind, Parsed, RepoFs};
+use sbomdiff_types::content_hash;
 
 const SHARDS: usize = 16;
 
@@ -45,7 +50,8 @@ const SHARDS: usize = 16;
 pub const DEFAULT_CAPACITY_BYTES: usize = 64 * 1024 * 1024;
 
 /// Fixed accounting overhead per entry (key strings, map slot, `Arc`
-/// bookkeeping) added to the manifest's content length.
+/// bookkeeping) added to the manifest's content length (the entry holds
+/// the content, shared with the repository, to verify hits against).
 const ENTRY_OVERHEAD: usize = 64;
 
 /// Which parser family produced a cached entry. Emulator profiles use the
@@ -79,9 +85,12 @@ impl ParserKey {
     pub(crate) const SLOTS: usize = 6;
 }
 
+/// `(path, content hash, kind, parser)`.
 type Key = (String, u64, MetadataKind, ParserKey);
 
 struct Entry {
+    /// The parsed bytes; a hit must match them exactly.
+    content: Arc<[u8]>,
     parsed: Arc<Parsed>,
     cost: usize,
     last_used: u64,
@@ -96,37 +105,47 @@ struct ShardState {
 }
 
 impl ShardState {
-    fn insert(&mut self, key: Key, parsed: Arc<Parsed>, cost: usize, tick: u64) -> Arc<Parsed> {
+    /// The cached parse of `content` under `key`, if the entry holds
+    /// exactly those bytes; bumps its recency.
+    fn get(&mut self, key: &Key, content: &[u8], tick: u64) -> Option<Arc<Parsed>> {
+        let found = self.map.get_mut(key).filter(|e| *e.content == *content)?;
+        found.last_used = tick;
+        Some(Arc::clone(&found.parsed))
+    }
+
+    fn insert(
+        &mut self,
+        key: Key,
+        content: Arc<[u8]>,
+        parsed: Arc<Parsed>,
+        cost: usize,
+        tick: u64,
+    ) -> Arc<Parsed> {
         use std::collections::hash_map::Entry as MapEntry;
+        let entry = Entry {
+            content,
+            parsed: Arc::clone(&parsed),
+            cost,
+            last_used: tick,
+        };
         match self.map.entry(key) {
             MapEntry::Occupied(mut slot) => {
-                // Replace (two workers raced on the same parse): debit the
-                // outgoing entry's bytes *before* crediting the new ones.
-                // Crediting alone inflates the tally on every overwrite,
-                // and the phantom bytes then evict live entries long
-                // before the shard is actually full.
+                // Replace (two workers raced on the same parse, or other
+                // content collided on the hash): debit the outgoing
+                // entry's bytes *before* crediting the new ones. Crediting
+                // alone inflates the tally on every overwrite, and the
+                // phantom bytes then evict live entries long before the
+                // shard is actually full.
                 let outgoing = slot.get().cost;
                 self.bytes = self.bytes + cost - outgoing;
-                slot.insert(Entry {
-                    parsed: Arc::clone(&parsed),
-                    cost,
-                    last_used: tick,
-                });
-                parsed
+                slot.insert(entry);
             }
             MapEntry::Vacant(slot) => {
                 self.bytes += cost;
-                Arc::clone(
-                    &slot
-                        .insert(Entry {
-                            parsed,
-                            cost,
-                            last_used: tick,
-                        })
-                        .parsed,
-                )
+                slot.insert(entry);
             }
         }
+        parsed
     }
 
     /// Evicts least-recently-used entries until the shard fits `cap`.
@@ -253,22 +272,32 @@ impl ParseCache {
             self.misses.fetch_add(1, Ordering::Relaxed);
             return Arc::new(parse());
         }
-        let content_bytes = repo.bytes(path).unwrap_or_default();
-        let cost = content_bytes.len() + path.len() + ENTRY_OVERHEAD;
-        let content = fnv_bytes(content_bytes);
-        let key: Key = (path.to_string(), content, kind, parser);
+        let content = repo.shared_bytes(path).unwrap_or_default();
+        let key: Key = (path.to_string(), content_hash(&content), kind, parser);
+        self.memoized_as(key, content, parse)
+    }
+
+    /// The lookup-or-parse behind [`Self::memoized`], for a key already
+    /// built from `content` (tests pin the hash in `key` to force
+    /// collisions).
+    fn memoized_as(
+        &self,
+        key: Key,
+        content: Arc<[u8]>,
+        parse: impl FnOnce() -> Parsed,
+    ) -> Arc<Parsed> {
+        let cost = content.len() + key.0.len() + ENTRY_OVERHEAD;
         let shard = &self.shards[fxhash(&key) as usize % SHARDS];
         // A poisoned shard only means another worker panicked mid-insert;
         // the map itself is still coherent, so recover instead of cascading.
-        {
-            let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-            if let Some(found) = guard.map.get_mut(&key) {
-                found.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
-                let parsed = Arc::clone(&found.parsed);
-                drop(guard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return parsed;
-            }
+        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
+        let found = shard
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .get(&key, &content, tick);
+        if let Some(parsed) = found {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return parsed;
         }
         // Parse outside the lock: other shard keys stay available and a
         // racing duplicate parse is deterministic anyway (the loser's
@@ -277,7 +306,7 @@ impl ParseCache {
         self.misses.fetch_add(1, Ordering::Relaxed);
         let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         let mut guard = shard.lock().unwrap_or_else(PoisonError::into_inner);
-        let out = guard.insert(key, parsed, cost, tick);
+        let out = guard.insert(key, content, parsed, cost, tick);
         let evicted = guard.evict_to(self.per_shard_cap);
         drop(guard);
         if evicted > 0 {
@@ -341,18 +370,14 @@ fn fxhash(key: &Key) -> u64 {
     h.finish()
 }
 
-fn fnv_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{SbomGenerator, ToolEmulator};
+
+    fn bytes(b: &[u8]) -> Arc<[u8]> {
+        Arc::from(b)
+    }
 
     fn repo() -> RepoFs {
         let mut repo = RepoFs::new("cache-demo");
@@ -450,17 +475,78 @@ mod tests {
             )
         };
         let mut shard = ShardState::default();
-        shard.insert(key("a"), Arc::new(Parsed::ok(Vec::new())), 1000, 0);
+        shard.insert(
+            key("a"),
+            bytes(b"a"),
+            Arc::new(Parsed::ok(Vec::new())),
+            1000,
+            0,
+        );
         assert_eq!(shard.bytes, 1000);
         for tick in 1..50 {
-            shard.insert(key("a"), Arc::new(Parsed::ok(Vec::new())), 1000, tick);
+            shard.insert(
+                key("a"),
+                bytes(b"a"),
+                Arc::new(Parsed::ok(Vec::new())),
+                1000,
+                tick,
+            );
             assert_eq!(shard.bytes, 1000, "replace must not drift at tick {tick}");
         }
         // Replacement with a different cost settles on the new cost alone.
-        shard.insert(key("a"), Arc::new(Parsed::ok(Vec::new())), 400, 50);
+        shard.insert(
+            key("a"),
+            bytes(b"a"),
+            Arc::new(Parsed::ok(Vec::new())),
+            400,
+            50,
+        );
         assert_eq!(shard.bytes, 400);
-        shard.insert(key("a"), Arc::new(Parsed::ok(Vec::new())), 1200, 51);
+        shard.insert(
+            key("a"),
+            bytes(b"a"),
+            Arc::new(Parsed::ok(Vec::new())),
+            1200,
+            51,
+        );
         assert_eq!(shard.bytes, 1200);
+    }
+
+    #[test]
+    fn colliding_hash_with_other_content_is_a_miss() {
+        // Two contents pinned to one hash under one path: the second must
+        // parse rather than be served the first's result, the new parse
+        // replaces the entry, and every lookup counts as one hit or miss.
+        let cache = ParseCache::new();
+        let key = || -> Key {
+            (
+                "requirements.txt".to_string(),
+                7,
+                MetadataKind::RequirementsTxt,
+                ParserKey::Dialect(Some(ReqStyle::Pip)),
+            )
+        };
+        let parsed = |name: &str| {
+            let mut repo = RepoFs::new("collide");
+            repo.add_text("requirements.txt", format!("{name}==1.0\n"));
+            let kind = MetadataKind::RequirementsTxt;
+            crate::emulator::parse_with_style(&repo, "requirements.txt", kind, ReqStyle::Pip)
+        };
+        let first = cache.memoized_as(key(), bytes(b"first"), || parsed("first"));
+        let second = cache.memoized_as(key(), bytes(b"second"), || parsed("second"));
+        assert_ne!(first, second, "a colliding hash must not share a parse");
+        assert_eq!((cache.hits(), cache.misses()), (0, 2));
+        assert_eq!(cache.len(), 1, "the colliding entry is replaced");
+        let again = cache.memoized_as(key(), bytes(b"second"), || unreachable!("cached"));
+        assert!(Arc::ptr_eq(&again, &second));
+        let first_again = cache.memoized_as(key(), bytes(b"first"), || parsed("first"));
+        assert_eq!(first_again, first);
+        assert_eq!((cache.hits(), cache.misses()), (1, 3));
+        assert_eq!(
+            cache.total_bytes(),
+            "first".len() + "requirements.txt".len() + ENTRY_OVERHEAD,
+            "replacement keeps the byte tally exact"
+        );
     }
 
     #[test]

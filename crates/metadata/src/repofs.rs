@@ -8,14 +8,18 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 use crate::MetadataKind;
 
 /// An in-memory repository: a name plus a sorted path → content map.
+///
+/// File contents are shared (`Arc`), so the parse cache can keep the bytes
+/// it verifies hits against without copying them.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RepoFs {
     name: String,
-    files: BTreeMap<String, Vec<u8>>,
+    files: BTreeMap<String, Arc<[u8]>>,
 }
 
 impl RepoFs {
@@ -90,17 +94,18 @@ impl RepoFs {
 
     /// Adds (or replaces) a UTF-8 text file.
     pub fn add_text(&mut self, path: impl Into<String>, content: impl Into<String>) {
-        self.files.insert(path.into(), content.into().into_bytes());
+        self.files
+            .insert(path.into(), content.into().into_bytes().into());
     }
 
     /// Adds (or replaces) a binary file.
     pub fn add_bytes(&mut self, path: impl Into<String>, content: Vec<u8>) {
-        self.files.insert(path.into(), content);
+        self.files.insert(path.into(), content.into());
     }
 
     /// Removes a file; returns its content if present.
     pub fn remove(&mut self, path: &str) -> Option<Vec<u8>> {
-        self.files.remove(path)
+        self.files.remove(path).map(|b| b.to_vec())
     }
 
     /// Number of files.
@@ -120,7 +125,12 @@ impl RepoFs {
 
     /// Raw bytes of a file.
     pub fn bytes(&self, path: &str) -> Option<&[u8]> {
-        self.files.get(path).map(Vec::as_slice)
+        self.files.get(path).map(|b| &**b)
+    }
+
+    /// A shared handle to a file's bytes (no copy).
+    pub fn shared_bytes(&self, path: &str) -> Option<Arc<[u8]>> {
+        self.files.get(path).cloned()
     }
 
     /// UTF-8 content of a file (None when missing or not UTF-8).
@@ -211,7 +221,10 @@ mod tests {
     fn remove_file() {
         let mut repo = RepoFs::new("demo");
         repo.add_text("x", "1");
-        assert!(repo.remove("x").is_some());
+        let shared = repo.shared_bytes("x").unwrap();
+        assert_eq!(repo.remove("x").as_deref(), Some(&b"1"[..]));
+        // A shared handle outlives the file's removal.
+        assert_eq!(&*shared, b"1");
         assert!(repo.is_empty());
     }
 }

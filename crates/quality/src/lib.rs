@@ -165,11 +165,7 @@ impl QualityReport {
 /// (GitHub DG, §V-D) or a wildcard? Range operators disqualify even
 /// when the remainder would parse.
 fn is_concrete_version(v: &str) -> bool {
-    if v.is_empty()
-        || v.contains(|c: char| {
-            matches!(c, '*' | '^' | '~' | '>' | '<' | '=' | ',' | '|' | ' ')
-        })
-    {
+    if v.is_empty() || v.contains(['*', '^', '~', '>', '<', '=', ',', '|', ' ']) {
         return false;
     }
     sbomdiff_types::Version::parse(v).is_ok()

@@ -24,7 +24,7 @@ use sbomdiff_vuln::{assess_cached, AdvisoryDb, EnrichCache, ImpactReport};
 
 use crate::http::{Request, Response};
 use crate::metrics::Metrics;
-use crate::respcache::{CacheEntry, ResponseCache};
+use crate::respcache::{CacheEntry, CacheKey, ResponseCache};
 
 /// Maximum number of files accepted by `/v1/analyze`.
 pub const MAX_ANALYZE_FILES: usize = 512;
@@ -178,21 +178,38 @@ impl Executed {
 /// Degraded responses are partial by construction and must not outlive the
 /// fault that shaped them, so they never enter the cache.
 pub fn execute_cached(state: &AppState, request: &Request, queue_depth: usize) -> Executed {
-    let cacheable = request.method == "POST" && request.path.starts_with("/v1/");
-    if !cacheable {
-        return Executed::Miss(handle(state, request, queue_depth));
-    }
-    let key = ResponseCache::key(&request.path, &request.body);
-    if let Some(cached) = state.cache.get(key) {
+    let key = cache_key(request);
+    if let Some(cached) = key.as_ref().and_then(|k| state.cache.get(k)) {
         return Executed::Hit(cached);
     }
+    execute_missed(state, request, key.as_ref(), queue_depth)
+}
+
+/// The response-cache key of a cacheable request (`POST /v1/*`), or
+/// `None` for a request that is never cached.
+pub(crate) fn cache_key(request: &Request) -> Option<CacheKey<'_>> {
+    (request.method == "POST" && request.path.starts_with("/v1/"))
+        .then(|| ResponseCache::key(&request.path, &request.body))
+}
+
+/// Computes a request whose cache lookup already missed (`key` is `None`
+/// for an uncacheable request) and caches a successful, undegraded
+/// response under `key`.
+pub(crate) fn execute_missed(
+    state: &AppState,
+    request: &Request,
+    key: Option<&CacheKey<'_>>,
+    queue_depth: usize,
+) -> Executed {
     let response = handle(state, request, queue_depth);
-    if response.is_success() && !response.degraded {
-        let entry = Arc::new(CacheEntry::new(response));
-        state.cache.put(key, Arc::clone(&entry));
-        return Executed::Hit(entry);
+    match key {
+        Some(key) if response.is_success() && !response.degraded => {
+            let entry = Arc::new(CacheEntry::new(response));
+            state.cache.put(key, Arc::clone(&entry));
+            Executed::Hit(entry)
+        }
+        _ => Executed::Miss(response),
     }
-    Executed::Miss(response)
 }
 
 /// `POST /v1/batch`: many analysis sub-requests in one HTTP request,

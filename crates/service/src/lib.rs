@@ -30,9 +30,10 @@
 //!   the batch pipeline,
 //! * per-request deadlines — requests that wait too long in the queue
 //!   answer `503` without running,
-//! * a sharded content-hash-keyed LRU response cache ([`respcache`]) with
+//! * a sharded content-keyed LRU response cache ([`respcache`]) with
 //!   preserialized wire bytes — keep-alive cache hits write zero-copy;
-//!   correct because every handler is a pure function of its payload,
+//!   correct because every handler is a pure function of its payload and
+//!   every hit verifies the full path and body,
 //! * a Prometheus-text metrics registry ([`metrics`]),
 //! * graceful shutdown that flushes owed responses before joining threads.
 //!

@@ -1,4 +1,4 @@
-//! Sharded content-hash-keyed LRU response cache.
+//! Sharded content-keyed LRU response cache.
 //!
 //! Every analysis endpoint is a pure function of its request body (seeds
 //! are part of the payload; nothing is time- or scheduling-dependent), so
@@ -6,16 +6,19 @@
 //! follows `ParseCache` in `sbomdiff-generators`: 16 mutex-guarded shards
 //! selected by key hash, with hit/miss counters feeding `/metrics`.
 //!
-//! The key is a 128-bit FNV-1a digest of `path + NUL + body`, computed with
-//! two independent offset bases. A collision would require both 64-bit
-//! streams to collide simultaneously; at service cache sizes (hundreds of
-//! entries) that is negligible, and the cache never stores anything but the
-//! deterministic response, so a collision could only serve another valid
-//! response, never corrupt state.
+//! A request's key is its `path` and `body`. The shard map is indexed by
+//! the workspace content hash ([`sbomdiff_types::content_hash`]) of the
+//! two, and every entry keeps the path and body it was stored under: a
+//! lookup is a hit only when both compare equal byte for byte. Two
+//! requests whose hashes collide therefore never see each other's
+//! response; the later one misses and, once computed, replaces the
+//! earlier entry.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
+use sbomdiff_types::{content_hash, content_hash_with_seed};
 
 use crate::http::Response;
 
@@ -45,13 +48,39 @@ impl CacheEntry {
     }
 }
 
+/// A request's cache key: the content hash of `(path, body)` plus the
+/// bytes themselves, which a hit must match exactly.
+#[derive(Debug)]
+pub struct CacheKey<'a> {
+    hash: u64,
+    path: &'a str,
+    body: &'a [u8],
+}
+
+impl<'a> CacheKey<'a> {
+    /// A key whose hash was already computed from `path` and `body` (the
+    /// reactor hashes a request once and hands the hash to the worker
+    /// that computes it). A wrong hash can only cost misses: hits compare
+    /// the bytes.
+    pub(crate) fn with_hash(hash: u64, path: &'a str, body: &'a [u8]) -> Self {
+        CacheKey { hash, path, body }
+    }
+
+    /// The content hash of the path and body.
+    pub fn hash(&self) -> u64 {
+        self.hash
+    }
+}
+
 struct Entry {
+    path: Box<str>,
+    body: Box<[u8]>,
     entry: Arc<CacheEntry>,
     last_used: u64,
 }
 
 struct Shard {
-    entries: HashMap<u128, Entry>,
+    entries: HashMap<u64, Entry>,
     tick: u64,
 }
 
@@ -83,40 +112,43 @@ impl ResponseCache {
     }
 
     /// The cache key for a request.
-    pub fn key(path: &str, body: &[u8]) -> u128 {
-        let lo = fnv1a(0xcbf2_9ce4_8422_2325, path.as_bytes(), body);
-        let hi = fnv1a(0x6c62_272e_07bb_0142, path.as_bytes(), body);
-        ((hi as u128) << 64) | lo as u128
+    pub fn key<'a>(path: &'a str, body: &'a [u8]) -> CacheKey<'a> {
+        let hash = content_hash_with_seed(content_hash(path.as_bytes()), body);
+        CacheKey::with_hash(hash, path, body)
     }
 
-    /// Looks up a cached response, bumping its recency.
-    pub fn get(&self, key: u128) -> Option<Arc<CacheEntry>> {
-        let mut shard = self.shard(key).lock().expect("response cache shard");
+    /// Looks up a cached response, bumping its recency. An entry under the
+    /// same hash but with other bytes is a miss.
+    pub fn get(&self, key: &CacheKey<'_>) -> Option<Arc<CacheEntry>> {
+        let mut shard = self.shard(key.hash);
         shard.tick += 1;
         let tick = shard.tick;
-        match shard.entries.get_mut(&key) {
-            Some(entry) => {
-                entry.last_used = tick;
-                let found = Arc::clone(&entry.entry);
-                drop(shard);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                Some(found)
-            }
-            None => {
-                drop(shard);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                None
-            }
-        }
+        let found = shard
+            .entries
+            .get_mut(&key.hash)
+            .filter(|e| *e.path == *key.path && *e.body == *key.body)
+            .map(|e| {
+                e.last_used = tick;
+                Arc::clone(&e.entry)
+            });
+        drop(shard);
+        let counter = if found.is_some() {
+            &self.hits
+        } else {
+            &self.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        found
     }
 
-    /// Stores a response, evicting the least-recently-used entry of the
-    /// shard when it is full.
-    pub fn put(&self, key: u128, entry: Arc<CacheEntry>) {
-        let mut shard = self.shard(key).lock().expect("response cache shard");
+    /// Stores a response, replacing whatever the key's hash held (a
+    /// colliding entry included) and otherwise evicting the
+    /// least-recently-used entry of the shard when it is full.
+    pub fn put(&self, key: &CacheKey<'_>, entry: Arc<CacheEntry>) {
+        let mut shard = self.shard(key.hash);
         shard.tick += 1;
         let tick = shard.tick;
-        if shard.entries.len() >= self.per_shard_cap && !shard.entries.contains_key(&key) {
+        if shard.entries.len() >= self.per_shard_cap && !shard.entries.contains_key(&key.hash) {
             if let Some(oldest) = shard
                 .entries
                 .iter()
@@ -127,8 +159,10 @@ impl ResponseCache {
             }
         }
         shard.entries.insert(
-            key,
+            key.hash,
             Entry {
+                path: key.path.into(),
+                body: key.body.into(),
                 entry,
                 last_used: tick,
             },
@@ -160,7 +194,12 @@ impl ResponseCache {
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.lock().expect("response cache shard").entries.len())
+            .map(|s| {
+                s.lock()
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .entries
+                    .len()
+            })
             .sum()
     }
 
@@ -169,17 +208,15 @@ impl ResponseCache {
         self.len() == 0
     }
 
-    fn shard(&self, key: u128) -> &Mutex<Shard> {
-        &self.shards[(key as u64 ^ (key >> 64) as u64) as usize % SHARDS]
+    /// Locks the shard of `hash`. A poisoned shard only means a thread
+    /// panicked while holding it; every update leaves the map whole (an
+    /// insert or remove either happened or did not), so recover the guard
+    /// instead of failing every later request on that shard.
+    fn shard(&self, hash: u64) -> MutexGuard<'_, Shard> {
+        self.shards[hash as usize % SHARDS]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
     }
-}
-
-fn fnv1a(offset: u64, a: &[u8], b: &[u8]) -> u64 {
-    let mut h = offset;
-    for &byte in a.iter().chain([0u8].iter()).chain(b.iter()) {
-        h = (h ^ byte as u64).wrapping_mul(0x100_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -195,21 +232,26 @@ mod tests {
 
     #[test]
     fn distinct_payloads_get_distinct_keys() {
-        let a = ResponseCache::key("/v1/diff", b"{\"a\":1}");
-        let b = ResponseCache::key("/v1/diff", b"{\"a\":2}");
-        let c = ResponseCache::key("/v1/analyze", b"{\"a\":1}");
+        let a = ResponseCache::key("/v1/diff", b"{\"a\":1}").hash();
+        let b = ResponseCache::key("/v1/diff", b"{\"a\":2}").hash();
+        let c = ResponseCache::key("/v1/analyze", b"{\"a\":1}").hash();
         assert_ne!(a, b);
         assert_ne!(a, c);
-        assert_eq!(a, ResponseCache::key("/v1/diff", b"{\"a\":1}"));
+        assert_eq!(a, ResponseCache::key("/v1/diff", b"{\"a\":1}").hash());
+        // The path/body boundary is part of the key.
+        assert_ne!(
+            ResponseCache::key("/v1/a", b"b").hash(),
+            ResponseCache::key("/v1/", b"ab").hash()
+        );
     }
 
     #[test]
     fn hit_after_put() {
         let cache = ResponseCache::new(8);
         let key = ResponseCache::key("/v1/diff", b"x");
-        assert!(cache.get(key).is_none());
-        cache.put(key, resp("one"));
-        let found = cache.get(key).expect("hit");
+        assert!(cache.get(&key).is_none());
+        cache.put(&key, resp("one"));
+        let found = cache.get(&key).expect("hit");
         assert_eq!(found.response.body, resp("one").response.body);
         // The preserialized wire bytes match the persistent serialization.
         assert_eq!(&*found.wire, found.response.serialize(false).as_slice());
@@ -218,19 +260,70 @@ mod tests {
     }
 
     #[test]
+    fn colliding_hash_with_other_bytes_is_a_miss() {
+        // Three requests pinned to one hash: the stored entry answers only
+        // its own path and body; a put under the shared hash replaces it.
+        let cache = ResponseCache::new(8);
+        let first = CacheKey::with_hash(7, "/v1/diff", b"first");
+        let second = CacheKey::with_hash(7, "/v1/diff", b"second");
+        let other_path = CacheKey::with_hash(7, "/v1/impact", b"first");
+        cache.put(&first, resp("first"));
+        assert!(cache.get(&second).is_none(), "colliding body must miss");
+        assert!(cache.get(&other_path).is_none(), "colliding path must miss");
+        assert_eq!(
+            cache.get(&first).expect("own bytes hit").response.body,
+            resp("first").response.body
+        );
+        cache.put(&second, resp("second"));
+        assert_eq!(cache.len(), 1, "the colliding entry is replaced");
+        assert!(cache.get(&first).is_none(), "replaced entry must miss");
+        assert_eq!(
+            cache.get(&second).expect("replacement hits").response.body,
+            resp("second").response.body
+        );
+        // Every lookup is counted once, as a hit or as a miss.
+        assert_eq!((cache.hits(), cache.misses()), (2, 3));
+    }
+
+    #[test]
+    fn poisoned_shard_keeps_serving() {
+        let cache = ResponseCache::new(8);
+        let key = ResponseCache::key("/v1/diff", b"x");
+        cache.put(&key, resp("one"));
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = cache.shard(key.hash());
+                panic!("poison the shard");
+            })
+            .join()
+        });
+        assert!(panicked.is_err());
+        assert!(cache.shards[key.hash() as usize % SHARDS].is_poisoned());
+        assert!(cache.get(&key).is_some());
+        cache.put(&key, resp("two"));
+        assert_eq!(cache.len(), 1);
+        assert_eq!(
+            cache.get(&key).expect("hit").response.body,
+            resp("two").response.body
+        );
+    }
+
+    #[test]
     fn lru_evicts_oldest_within_shard() {
         // Single-entry shards: every insertion evicts the previous tenant
         // of its shard, and the recently-used key must survive its shard.
         let cache = ResponseCache::new(1);
-        let keys: Vec<u128> = (0..64u8)
-            .map(|i| ResponseCache::key("/v1/analyze", &[i]))
+        let bodies: Vec<[u8; 1]> = (0..64u8).map(|i| [i]).collect();
+        let keys: Vec<CacheKey> = bodies
+            .iter()
+            .map(|b| ResponseCache::key("/v1/analyze", b))
             .collect();
-        for (i, &k) in keys.iter().enumerate() {
+        for (i, k) in keys.iter().enumerate() {
             cache.put(k, resp(&i.to_string()));
         }
         assert!(cache.len() <= 16, "len={}", cache.len());
         // The last-inserted key's shard holds exactly that key.
-        assert!(cache.get(*keys.last().unwrap()).is_some());
+        assert!(cache.get(keys.last().unwrap()).is_some());
     }
 
     #[test]
@@ -240,12 +333,12 @@ mod tests {
         // neighbor and the hot entry survives arbitrarily many inserts.
         let cache = ResponseCache::new(32);
         let hot = ResponseCache::key("/v1/diff", b"hot");
-        cache.put(hot, resp("hot"));
+        cache.put(&hot, resp("hot"));
         for i in 0..255u8 {
-            assert!(cache.get(hot).is_some(), "hot evicted after {i} inserts");
-            cache.put(ResponseCache::key("/v1/diff", &[i]), resp("cold"));
+            assert!(cache.get(&hot).is_some(), "hot evicted after {i} inserts");
+            cache.put(&ResponseCache::key("/v1/diff", &[i]), resp("cold"));
         }
-        assert!(cache.get(hot).is_some());
+        assert!(cache.get(&hot).is_some());
         assert!(cache.len() <= 32, "len={}", cache.len());
     }
 
@@ -253,9 +346,9 @@ mod tests {
     fn shared_across_threads() {
         let cache = std::sync::Arc::new(ResponseCache::new(64));
         let key = ResponseCache::key("/healthz", b"");
-        cache.put(key, resp("ok"));
+        cache.put(&key, resp("ok"));
         let results = sbomdiff_parallel::par_map(4, &[0u8; 16], |_, _| {
-            cache.get(key).map(|r| r.response.body.clone())
+            cache.get(&key).map(|r| r.response.body.clone())
         });
         for r in results {
             assert_eq!(r, Some(resp("ok").response.body.clone()));

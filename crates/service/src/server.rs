@@ -50,7 +50,7 @@ use crate::queue::BoundedQueue;
 use crate::reactor::{
     bind_listener, set_nodelay, Event, Poller, Waker, LISTENER_TOKEN, WAKER_TOKEN,
 };
-use crate::respcache::ResponseCache;
+use crate::respcache::CacheKey;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -106,6 +106,9 @@ struct Task {
     generation: u64,
     seq: u64,
     request: Request,
+    /// The response-cache key hash of a cacheable request, whose lookup
+    /// in the reactor missed; `None` for an uncacheable one.
+    cache_hash: Option<u64>,
     parsed_at: Instant,
     endpoint: Endpoint,
     close: bool,
@@ -224,7 +227,11 @@ fn worker_loop(
             // this catch is a counted safety net, not a control-flow path;
             // the chaos harness asserts the counter stays at zero.
             let executed = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                api::execute_cached(state, &task.request, queue.len())
+                let request = &task.request;
+                let key = task
+                    .cache_hash
+                    .map(|hash| CacheKey::with_hash(hash, &request.path, &request.body));
+                api::execute_missed(state, request, key.as_ref(), queue.len())
             })) {
                 Ok(executed) => executed,
                 Err(_) => {
@@ -454,27 +461,29 @@ impl EventLoop {
                 // the reactor with the entry's preserialized bytes, skipping
                 // the queue and both thread handoffs. Only compute (misses)
                 // is subject to admission control.
-                if parsed.request.method == "POST" && parsed.request.path.starts_with("/v1/") {
-                    let key = ResponseCache::key(&parsed.request.path, &parsed.request.body);
-                    if let Some(entry) = self.state.cache.get(key) {
-                        self.state
-                            .metrics
-                            .record(endpoint, entry.response.status, now.elapsed());
-                        let buf = if close {
-                            WriteBuf::Owned(entry.response.serialize(true))
-                        } else {
-                            WriteBuf::Shared(Arc::clone(&entry.wire))
-                        };
-                        conn.complete(parsed.seq, buf, close);
-                        continue;
-                    }
+                let key = api::cache_key(&parsed.request);
+                if let Some(entry) = key.as_ref().and_then(|k| self.state.cache.get(k)) {
+                    self.state
+                        .metrics
+                        .record(endpoint, entry.response.status, now.elapsed());
+                    let buf = if close {
+                        WriteBuf::Owned(entry.response.serialize(true))
+                    } else {
+                        WriteBuf::Shared(Arc::clone(&entry.wire))
+                    };
+                    conn.complete(parsed.seq, buf, close);
+                    continue;
                 }
+                // The miss is final: the worker computes without a second
+                // lookup, reusing this hash for the put.
+                let cache_hash = key.map(|k| k.hash());
                 conn.inflight += 1;
                 let task = Task {
                     token,
                     generation: conn.generation,
                     seq: parsed.seq,
                     request: parsed.request,
+                    cache_hash,
                     parsed_at: now,
                     endpoint,
                     close,

@@ -214,6 +214,31 @@ fn batch_endpoint_amortizes_many_requests_over_one_round_trip() {
 }
 
 #[test]
+fn every_cacheable_request_is_looked_up_once() {
+    // The reactor's probe is the only lookup: a miss is computed by a
+    // worker without a second lookup, so two distinct payloads and one
+    // repeat count two misses and one hit, and a GET counts neither.
+    let mut handle = start(ServeConfig::default());
+    let mut stream = connect(handle.addr());
+    let a = r#"{"files":{"requirements.txt":"numpy==1.19.2\n"}}"#;
+    let b = r#"{"files":{"requirements.txt":"flask==2.0.1\n"}}"#;
+    for body in [a, b, a] {
+        stream
+            .write_all(post("/v1/analyze", body).as_bytes())
+            .unwrap();
+        let (status, _, body) = read_framed(&mut stream);
+        assert_eq!(status, 200, "{body}");
+    }
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nHost: localhost\r\n\r\n")
+        .unwrap();
+    assert_eq!(read_framed(&mut stream).0, 200);
+    let cache = &handle.state().cache;
+    assert_eq!((cache.hits(), cache.misses()), (1, 2));
+    handle.shutdown();
+}
+
+#[test]
 fn responses_are_byte_identical_across_worker_counts() {
     // The full wire bytes (head + body) must match between a jobs=1 and a
     // jobs=4 server, for both cold and cached (keep-alive, preserialized)

@@ -24,6 +24,7 @@ pub mod dependency;
 pub mod diagnostic;
 pub mod ecosystem;
 pub mod error;
+pub mod hash;
 pub mod intern;
 pub mod name;
 pub mod purl;
@@ -36,6 +37,7 @@ pub use dependency::{DeclaredDependency, DepScope, DependencySource, ResolvedPac
 pub use diagnostic::{DiagClass, Diagnostic, Severity};
 pub use ecosystem::Ecosystem;
 pub use error::ParseError;
+pub use hash::{content_hash, content_hash_with_seed};
 pub use intern::{intern, Interner, Symbol};
 pub use name::PackageName;
 pub use purl::Purl;
